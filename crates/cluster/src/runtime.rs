@@ -385,6 +385,10 @@ pub struct Cluster {
     /// Owner-reclaim measurements: (owner returned at, all guests gone at).
     pub reclaim_times: Vec<SimDuration>,
     reclaim_pending: BTreeMap<HostAddr, SimTime>,
+    /// Whether an [`Event::AuditTick`] is queued.
+    audit_armed: bool,
+    /// Whether an [`Event::SampleTick`] is queued.
+    sample_armed: bool,
 }
 
 /// Handles to the cluster's default-enrolled time series.
@@ -634,6 +638,8 @@ impl Cluster {
             pending_behaviors: BTreeMap::new(),
             reclaim_times: Vec::new(),
             reclaim_pending: BTreeMap::new(),
+            audit_armed: false,
+            sample_armed: false,
         };
         // Components are born with quiet traces; give them the cluster's
         // verbosity (and sink choice) so their records survive until
@@ -665,9 +671,11 @@ impl Cluster {
         }
         if let Some(every) = cluster.cfg.audit_every {
             cluster.ctx.schedule_after(every, Event::AuditTick);
+            cluster.audit_armed = true;
         }
         if let Some(spec) = cluster.cfg.sampling {
             cluster.ctx.schedule_after(spec.every, Event::SampleTick);
+            cluster.sample_armed = true;
         }
         cluster
     }
@@ -1029,25 +1037,36 @@ impl Cluster {
             Event::HealPartition { a, b } => self.net.heal(&a, &b),
             Event::AuditTick => {
                 self.audit(false);
+                self.audit_armed = false;
                 // Re-arm only while other work remains, so periodic audits
                 // stop at quiescence instead of keeping the queue alive.
-                if self.ctx.pending() > 0 {
+                if self.work_queued() {
                     if let Some(every) = self.cfg.audit_every {
                         self.ctx.schedule_after(every, Event::AuditTick);
+                        self.audit_armed = true;
                     }
                 }
             }
             Event::SampleTick => {
                 self.take_sample();
+                self.sample_armed = false;
                 // Same re-arm rule as AuditTick: sampling follows the
                 // simulation, it must never keep the queue alive.
-                if self.ctx.pending() > 0 {
+                if self.work_queued() {
                     if let Some(spec) = self.cfg.sampling {
                         self.ctx.schedule_after(spec.every, Event::SampleTick);
+                        self.sample_armed = true;
                     }
                 }
             }
         }
+    }
+
+    /// True while events other than the queued periodic ticks are
+    /// pending. Each tick re-arms only then, so the audit and sampling
+    /// ticks cannot keep each other alive once the work has ended.
+    fn work_queued(&self) -> bool {
+        self.ctx.pending() > usize::from(self.audit_armed) + usize::from(self.sample_armed)
     }
 
     /// One telemetry sweep: records the cluster aggregates into their

@@ -33,7 +33,7 @@ use crate::trace::{Subsystem, Trace, TraceEvent, TraceLevel, TraceSinkSpec};
 /// assert_eq!(ctx.trace().records().len(), 1);
 /// assert_eq!(ctx.trace().records()[0].at, ctx.now());
 /// ```
-pub struct SimContext<E, Q: EventQueue<E> = DynQueue<E>> {
+pub struct SimContext<E, Q: EventQueue = DynQueue> {
     engine: Engine<E, Q>,
     trace: Trace,
     profiler: Profiler,
@@ -67,7 +67,7 @@ impl<E> Default for SimContext<E> {
     }
 }
 
-impl<E, Q: EventQueue<E>> SimContext<E, Q> {
+impl<E, Q: EventQueue> SimContext<E, Q> {
     /// Wraps an existing engine and trace.
     pub fn from_parts(engine: Engine<E, Q>, trace: Trace) -> Self {
         SimContext {
@@ -104,7 +104,7 @@ impl<E, Q: EventQueue<E>> SimContext<E, Q> {
         self.engine.schedule_now(event)
     }
 
-    /// Cancels a scheduled event (lazy; see [`Engine::cancel`]).
+    /// Cancels a scheduled event (see [`Engine::cancel`]).
     pub fn cancel(&mut self, id: EventId) {
         self.engine.cancel(id);
     }

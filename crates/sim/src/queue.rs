@@ -1,9 +1,12 @@
 //! Pluggable pending-event queues for the [`Engine`](crate::Engine).
 //!
-//! The engine owns the clock, sequence numbers, and cancellation
-//! tombstones; a queue only stores `(at, seq, event)` triples and hands
-//! them back in `(at, seq)` order. That split keeps the delivery order —
-//! and therefore every trace — bit-identical across backends, so the
+//! The engine owns the clock, sequence numbers, and the events
+//! themselves (one slot each, see [`Engine`](crate::Engine)); a queue
+//! only orders [`EventKey`]s — `(at, seq, slot)`, 24 bytes whatever the
+//! event type — and hands them back in `(at, seq)` order. Keeping the
+//! events out of the queue means a heap sift or a wheel cascade moves
+//! small keys, never the events. The split also keeps the delivery order
+//! — and therefore every trace — bit-identical across backends, so the
 //! replay suite can diff a run on one queue against the same seed on
 //! another.
 //!
@@ -20,117 +23,88 @@
 //! [`DynQueue`] wraps both behind one type so the backend can be chosen
 //! at runtime from configuration ([`QueueBackend`]).
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::time::SimTime;
 
-/// A pending-event store ordered by `(at, seq)`.
+/// What a queue orders: when an event fires, its tie-break sequence
+/// number, and the engine slot that holds the event itself.
+///
+/// The derived order is `(at, seq, slot)`; `seq` is unique per engine, so
+/// `slot` never decides and the order is exactly `(at, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// Firing time.
+    pub at: SimTime,
+    /// Schedule order: the FIFO tie-break within one instant.
+    pub seq: u64,
+    /// Index of the engine slot holding the event.
+    pub slot: usize,
+}
+
+/// A pending-key store ordered by `(at, seq)`.
 ///
 /// Contract: `push` times are monotone with respect to pops — callers
-/// must never push an event earlier than the last popped time (the
-/// engine's no-scheduling-in-the-past rule). `seq` values are unique and
-/// monotone in push order, which makes `(at, seq)` a total order: every
-/// backend pops the exact same sequence.
-pub trait EventQueue<E> {
-    /// Stores an event firing at `at` with tie-break sequence `seq`.
-    fn push(&mut self, at: SimTime, seq: u64, event: E);
+/// must never push a key earlier than the last popped time (the engine's
+/// no-scheduling-in-the-past rule). `seq` values are unique and monotone
+/// in push order, which makes `(at, seq)` a total order: every backend
+/// pops the exact same sequence.
+pub trait EventQueue {
+    /// Stores a key.
+    fn push(&mut self, key: EventKey);
 
-    /// The `(at, seq)` of the next event to pop, without removing it.
+    /// The next key to pop, without removing it.
     ///
-    /// Takes `&mut self` because a wheel may rotate/cascade internally to
-    /// find its front; the observable contents are unchanged.
-    fn peek(&mut self) -> Option<(SimTime, u64)>;
+    /// Takes `&mut self` so a backend may reorganise internally to find
+    /// its front; the observable contents are unchanged.
+    fn peek(&mut self) -> Option<EventKey>;
 
-    /// Removes and returns the `(at, seq)`-least event.
-    fn pop(&mut self) -> Option<(SimTime, u64, E)>;
+    /// Removes and returns the `(at, seq)`-least key.
+    fn pop(&mut self) -> Option<EventKey>;
 
-    /// Number of stored events.
+    /// Number of stored keys.
     fn len(&self) -> usize;
 
-    /// True when no events are stored.
+    /// True when no keys are stored.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Appends the sequence numbers of every stored event to `out`, in no
-    /// particular order — the engine uses this to compact its
-    /// cancellation tombstones against the live set.
-    fn live_seqs(&self, out: &mut Vec<u64>);
 }
 
 // --- Binary-heap backend. ---
 
-struct HeapEntry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, within an
-        // instant, the first-pushed) entry surfaces first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The `O(log n)` binary-heap backend: the baseline the timing wheel is
 /// benchmarked (and differentially tested) against.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
+#[derive(Default)]
+pub struct HeapQueue {
+    /// A max-heap, so keys are reversed: the earliest (and, within an
+    /// instant, the first-pushed) key surfaces first.
+    heap: BinaryHeap<Reverse<EventKey>>,
 }
 
-impl<E> HeapQueue<E> {
+impl HeapQueue {
     /// An empty heap queue.
     pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-        }
+        Self::default()
     }
 }
 
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> for HeapQueue<E> {
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        self.heap.push(HeapEntry { at, seq, event });
+impl EventQueue for HeapQueue {
+    fn push(&mut self, key: EventKey) {
+        self.heap.push(Reverse(key));
     }
 
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
+    fn peek(&mut self) -> Option<EventKey> {
+        self.heap.peek().map(|k| k.0)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.at, e.seq, e.event))
+    fn pop(&mut self) -> Option<EventKey> {
+        self.heap.pop().map(|k| k.0)
     }
 
     fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    fn live_seqs(&self, out: &mut Vec<u64>) {
-        out.extend(self.heap.iter().map(|e| e.seq));
     }
 }
 
@@ -147,12 +121,6 @@ const LEVELS: usize = 6;
 /// `HORIZON`-aligned window containing `base`; later events overflow
 /// into the sorted far-future map until `base` enters their era.
 const HORIZON: u64 = 1 << (SLOT_BITS as u64 * LEVELS as u64);
-
-struct WheelEntry<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
 
 /// The amortised-`O(1)` hierarchical timing wheel backend.
 ///
@@ -176,16 +144,16 @@ struct WheelEntry<E> {
 /// lower level, so an event cascades at most `LEVELS - 1` times.
 ///
 /// Events outside `base`'s `HORIZON`-aligned era (~19 simulated hours)
-/// wait in a `BTreeMap` keyed by `(at, seq)` and migrate into the wheel
+/// wait in a sorted `BTreeSet` of keys and migrate into the wheel
 /// when `base` enters their era; every wheel entry fires no later than
 /// every overflow entry, so the two never need comparing.
 ///
 /// Determinism: within a level-0 slot (one µs of absolute time) the
 /// minimum `seq` is selected by scan, so pops follow the exact global
 /// `(at, seq)` order — the same order [`HeapQueue`] produces.
-pub struct TimingWheel<E> {
+pub struct TimingWheel {
     /// `LEVELS * SLOTS` buckets, flattened as `level * SLOTS + slot`.
-    slots: Vec<Vec<WheelEntry<E>>>,
+    slots: Vec<Vec<EventKey>>,
     /// Per-level occupancy bitmask: bit `s` set iff `slots[l][s]` is
     /// non-empty. Finding the next occupied slot is one rotate + ctz.
     occupied: [u64; LEVELS],
@@ -194,11 +162,11 @@ pub struct TimingWheel<E> {
     base: u64,
     /// Entries resident in the wheel levels (excludes the overflow map).
     wheel_len: usize,
-    /// Far-future events, sorted by `(at, seq)`.
-    overflow: BTreeMap<(u64, u64), E>,
+    /// Far-future keys, sorted by `(at, seq)`.
+    overflow: BTreeSet<EventKey>,
 }
 
-impl<E> TimingWheel<E> {
+impl TimingWheel {
     /// An empty wheel with `base` at time zero.
     pub fn new() -> Self {
         TimingWheel {
@@ -206,7 +174,7 @@ impl<E> TimingWheel<E> {
             occupied: [0; LEVELS],
             base: 0,
             wheel_len: 0,
-            overflow: BTreeMap::new(),
+            overflow: BTreeSet::new(),
         }
     }
 
@@ -231,11 +199,12 @@ impl<E> TimingWheel<E> {
     }
 
     /// Inserts into the wheel proper (caller has checked the era).
-    fn insert_wheel(&mut self, at: u64, seq: u64, event: E) {
+    fn insert_wheel(&mut self, key: EventKey) {
+        let at = key.at.as_micros();
         let level = self.level_for(at);
         debug_assert!(level < LEVELS, "insert outside the wheel era");
         let slot = Self::slot_of(at, level);
-        self.slots[level * SLOTS + slot].push(WheelEntry { at, seq, event });
+        self.slots[level * SLOTS + slot].push(key);
         self.occupied[level] |= 1 << slot;
         self.wheel_len += 1;
     }
@@ -245,12 +214,12 @@ impl<E> TimingWheel<E> {
     /// head suffices: overflow entries inside `base`'s era sort before
     /// those beyond it.
     fn migrate_overflow(&mut self) {
-        while let Some((&(t, _), _)) = self.overflow.first_key_value() {
-            if self.level_for(t) >= LEVELS {
+        while let Some(head) = self.overflow.first() {
+            if self.level_for(head.at.as_micros()) >= LEVELS {
                 break;
             }
-            if let Some(((t, seq), event)) = self.overflow.pop_first() {
-                self.insert_wheel(t, seq, event);
+            if let Some(key) = self.overflow.pop_first() {
+                self.insert_wheel(key);
             }
         }
     }
@@ -270,17 +239,18 @@ impl<E> TimingWheel<E> {
         Some((b + off) % SLOTS)
     }
 
-    /// Position and key of the `(at, seq)`-least entry in a non-empty
+    /// Position and value of the `(at, seq)`-least key in a non-empty
     /// flat slot. Level-0 slots hold one instant, so this is the FIFO
     /// tie-break scan; slots are short, making it cheap.
-    fn slot_min(&self, flat: usize) -> (usize, u64, u64) {
-        let mut best = (0, u64::MAX, u64::MAX);
-        for (i, e) in self.slots[flat].iter().enumerate() {
-            if (e.at, e.seq) < (best.1, best.2) {
-                best = (i, e.at, e.seq);
+    fn slot_min(&self, flat: usize) -> (usize, EventKey) {
+        let keys = &self.slots[flat];
+        let mut best = 0;
+        for (i, k) in keys.iter().enumerate().skip(1) {
+            if k < &keys[best] {
+                best = i;
             }
         }
-        best
+        (best, keys[best])
     }
 
     /// Rotates/cascades until the earliest pending event sits in a level-0
@@ -290,8 +260,7 @@ impl<E> TimingWheel<E> {
             if self.wheel_len == 0 {
                 // Wheel empty: jump the base to the overflow head (if any)
                 // and refill from there.
-                let (&(t, _), _) = self.overflow.first_key_value()?;
-                self.base = t;
+                self.base = self.overflow.first()?.at.as_micros();
                 self.migrate_overflow();
                 continue;
             }
@@ -307,13 +276,12 @@ impl<E> TimingWheel<E> {
             let level = (1..LEVELS).find(|&l| self.occupied[l] != 0)?;
             let slot = self.earliest_slot(level)?;
             let flat = level * SLOTS + slot;
-            let (_, at, _) = self.slot_min(flat);
-            self.base = at;
-            let entries = std::mem::take(&mut self.slots[flat]);
+            self.base = self.slot_min(flat).1.at.as_micros();
+            let keys = std::mem::take(&mut self.slots[flat]);
             self.occupied[level] &= !(1 << (flat - level * SLOTS));
-            self.wheel_len -= entries.len();
-            for e in entries {
-                self.insert_wheel(e.at, e.seq, e.event);
+            self.wheel_len -= keys.len();
+            for key in keys {
+                self.insert_wheel(key);
             }
             // Rebasing may have pulled the horizon over overflow entries.
             self.migrate_overflow();
@@ -321,24 +289,24 @@ impl<E> TimingWheel<E> {
     }
 }
 
-impl<E> Default for TimingWheel<E> {
+impl Default for TimingWheel {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> for TimingWheel<E> {
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
-        let t = at.as_micros();
+impl EventQueue for TimingWheel {
+    fn push(&mut self, key: EventKey) {
+        let t = key.at.as_micros();
         debug_assert!(t >= self.base, "push before the last popped time");
         if self.level_for(t) >= LEVELS {
-            self.overflow.insert((t, seq), event);
+            self.overflow.insert(key);
         } else {
-            self.insert_wheel(t, seq, event);
+            self.insert_wheel(key);
         }
     }
 
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
+    fn peek(&mut self) -> Option<EventKey> {
         // Non-mutating on purpose: a peek that cascades would advance
         // `base` past the engine clock, and a later (legal) push between
         // the two would land behind the wheel. The invariants make the
@@ -348,41 +316,32 @@ impl<E> EventQueue<E> for TimingWheel<E> {
         if self.wheel_len > 0 {
             let level = (0..LEVELS).find(|&l| self.occupied[l] != 0)?;
             let slot = self.earliest_slot(level)?;
-            let (_, at, seq) = self.slot_min(level * SLOTS + slot);
-            Some((SimTime::from_micros(at), seq))
+            Some(self.slot_min(level * SLOTS + slot).1)
         } else {
-            let (&(at, seq), _) = self.overflow.first_key_value()?;
-            Some((SimTime::from_micros(at), seq))
+            self.overflow.first().copied()
         }
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+    fn pop(&mut self) -> Option<EventKey> {
         let flat = self.ensure_front()?;
-        let (pos, _, _) = self.slot_min(flat);
-        let e = self.slots[flat].swap_remove(pos);
+        let (pos, _) = self.slot_min(flat);
+        let key = self.slots[flat].swap_remove(pos);
         if self.slots[flat].is_empty() {
             // `flat` is a level-0 slot, so it is its own bit index.
             self.occupied[0] &= !(1 << flat);
         }
         self.wheel_len -= 1;
-        self.base = e.at;
+        self.base = key.at.as_micros();
         // Advancing `base` may move it into the overflow head's era; a
         // later push could then land in the wheel *behind* a stranded
         // overflow entry. Migrating here keeps the invariant that every
         // wheel entry fires no later than every overflow entry.
         self.migrate_overflow();
-        Some((SimTime::from_micros(e.at), e.seq, e.event))
+        Some(key)
     }
 
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
-    }
-
-    fn live_seqs(&self, out: &mut Vec<u64>) {
-        for slot in &self.slots {
-            out.extend(slot.iter().map(|e| e.seq));
-        }
-        out.extend(self.overflow.keys().map(|&(_, seq)| seq));
     }
 }
 
@@ -412,14 +371,14 @@ impl QueueBackend {
 /// A queue whose backend is chosen at runtime — the default queue type of
 /// [`Engine`](crate::Engine), so cluster configuration can flip backends
 /// without changing any types.
-pub enum DynQueue<E> {
+pub enum DynQueue {
     /// Binary-heap backend.
-    Heap(HeapQueue<E>),
+    Heap(HeapQueue),
     /// Timing-wheel backend.
-    Wheel(TimingWheel<E>),
+    Wheel(TimingWheel),
 }
 
-impl<E> DynQueue<E> {
+impl DynQueue {
     /// An empty queue on the given backend.
     pub fn new(backend: QueueBackend) -> Self {
         match backend {
@@ -437,23 +396,23 @@ impl<E> DynQueue<E> {
     }
 }
 
-impl<E> Default for DynQueue<E> {
+impl Default for DynQueue {
     fn default() -> Self {
         DynQueue::new(QueueBackend::Heap)
     }
 }
 
-impl<E> EventQueue<E> for DynQueue<E> {
+impl EventQueue for DynQueue {
     #[inline]
-    fn push(&mut self, at: SimTime, seq: u64, event: E) {
+    fn push(&mut self, key: EventKey) {
         match self {
-            DynQueue::Heap(q) => q.push(at, seq, event),
-            DynQueue::Wheel(q) => q.push(at, seq, event),
+            DynQueue::Heap(q) => q.push(key),
+            DynQueue::Wheel(q) => q.push(key),
         }
     }
 
     #[inline]
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
+    fn peek(&mut self) -> Option<EventKey> {
         match self {
             DynQueue::Heap(q) => q.peek(),
             DynQueue::Wheel(q) => q.peek(),
@@ -461,7 +420,7 @@ impl<E> EventQueue<E> for DynQueue<E> {
     }
 
     #[inline]
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
+    fn pop(&mut self) -> Option<EventKey> {
         match self {
             DynQueue::Heap(q) => q.pop(),
             DynQueue::Wheel(q) => q.pop(),
@@ -475,24 +434,36 @@ impl<E> EventQueue<E> for DynQueue<E> {
             DynQueue::Wheel(q) => q.len(),
         }
     }
-
-    fn live_seqs(&self, out: &mut Vec<u64>) {
-        match self {
-            DynQueue::Heap(q) => q.live_seqs(out),
-            DynQueue::Wheel(q) => q.live_seqs(out),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain<Q: EventQueue<u32>>(q: &mut Q) -> Vec<(u64, u64, u32)> {
-        std::iter::from_fn(|| q.pop().map(|(t, s, e)| (t.as_micros(), s, e))).collect()
+    /// A key at `at` µs; the slot mirrors `seq` so tests can check it
+    /// travels with the key.
+    fn key(at: u64, seq: usize) -> EventKey {
+        EventKey {
+            at: SimTime::from_micros(at),
+            seq: seq as u64,
+            slot: seq,
+        }
     }
 
-    fn both() -> Vec<DynQueue<u32>> {
+    fn push(q: &mut impl EventQueue, at: u64, seq: usize) {
+        q.push(key(at, seq));
+    }
+
+    fn drain(q: &mut impl EventQueue) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|k| {
+                assert_eq!(k.slot as u64, k.seq, "slot detached from its key");
+                (k.at.as_micros(), k.seq)
+            })
+            .collect()
+    }
+
+    fn both() -> Vec<DynQueue> {
         vec![
             DynQueue::new(QueueBackend::Heap),
             DynQueue::new(QueueBackend::TimingWheel),
@@ -502,13 +473,13 @@ mod tests {
     #[test]
     fn pops_in_time_then_seq_order() {
         for mut q in both() {
-            q.push(SimTime::from_micros(30), 0, 3);
-            q.push(SimTime::from_micros(10), 1, 1);
-            q.push(SimTime::from_micros(10), 2, 2);
-            q.push(SimTime::from_micros(20), 3, 9);
+            push(&mut q, 30, 0);
+            push(&mut q, 10, 1);
+            push(&mut q, 10, 2);
+            push(&mut q, 20, 3);
             assert_eq!(
                 drain(&mut q),
-                vec![(10, 1, 1), (10, 2, 2), (20, 3, 9), (30, 0, 3)],
+                vec![(10, 1), (10, 2), (20, 3), (30, 0)],
                 "{:?}",
                 q.backend()
             );
@@ -520,73 +491,61 @@ mod tests {
         // Schedule a burst far enough out to land in level >= 1, pop past
         // the cascade boundary, and check the burst stays in seq order.
         for mut q in both() {
-            let t = SimTime::from_micros(5_000);
             for seq in 0..100 {
-                q.push(t, seq, seq as u32);
+                push(&mut q, 5_000, seq);
             }
-            q.push(SimTime::from_micros(1), 100, 999);
+            push(&mut q, 1, 100);
             let order = drain(&mut q);
-            assert_eq!(order[0], (1, 100, 999));
-            let burst: Vec<u32> = order[1..].iter().map(|&(_, _, e)| e).collect();
+            assert_eq!(order[0], (1, 100));
+            let burst: Vec<u64> = order[1..].iter().map(|&(_, s)| s).collect();
             assert_eq!(burst, (0..100).collect::<Vec<_>>(), "{:?}", q.backend());
         }
     }
 
     #[test]
     fn wheel_handles_far_future_overflow() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
+        let mut q = TimingWheel::new();
         // Beyond the ~19h horizon: parks in overflow.
         let far = HORIZON + 123;
-        q.push(SimTime::from_micros(far), 0, 7);
-        q.push(SimTime::from_micros(50), 1, 1);
+        push(&mut q, far, 0);
+        push(&mut q, 50, 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek(), Some((SimTime::from_micros(50), 1)));
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some(1));
+        assert_eq!(q.peek(), Some(key(50, 1)));
+        assert_eq!(q.pop(), Some(key(50, 1)));
         // After the near event pops, the far one migrates in on demand.
-        assert_eq!(q.pop(), Some((SimTime::from_micros(far), 0, 7)));
+        assert_eq!(q.pop(), Some(key(far, 0)));
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn wheel_interleaves_overflow_with_late_pushes() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(SimTime::from_micros(HORIZON), 0, 1);
+        let mut q = TimingWheel::new();
+        push(&mut q, HORIZON, 0);
         // Pop nothing yet; push a nearer event, then one between it and
         // the overflow event, and verify global order.
-        q.push(SimTime::from_micros(10), 1, 2);
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some(2));
-        q.push(SimTime::from_micros(HORIZON - 5), 2, 3);
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some(3));
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some(1));
+        push(&mut q, 10, 1);
+        assert_eq!(q.pop().map(|k| k.seq), Some(1));
+        push(&mut q, HORIZON - 5, 2);
+        assert_eq!(q.pop().map(|k| k.seq), Some(2));
+        assert_eq!(q.pop().map(|k| k.seq), Some(0));
     }
 
     #[test]
     fn peek_matches_pop() {
         for mut q in both() {
-            q.push(SimTime::from_micros(40), 0, 4);
-            q.push(SimTime::from_micros(20), 1, 2);
-            while let Some((at, seq)) = q.peek() {
-                let (pat, pseq, _) = q.pop().expect("peeked entry pops");
-                assert_eq!((at, seq), (pat, pseq));
+            push(&mut q, 40, 0);
+            push(&mut q, 20, 1);
+            push(&mut q, 2 * HORIZON, 2);
+            while let Some(front) = q.peek() {
+                assert_eq!(q.pop(), Some(front));
             }
             assert!(q.is_empty());
         }
     }
 
     #[test]
-    fn live_seqs_reports_wheel_and_overflow() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(SimTime::from_micros(5), 10, 0);
-        q.push(SimTime::from_micros(2 * HORIZON), 11, 0);
-        let mut seqs = Vec::new();
-        q.live_seqs(&mut seqs);
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![10, 11]);
-    }
-
-    #[test]
     fn empty_wheel_behaves() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
+        let mut q = TimingWheel::new();
         assert!(q.is_empty());
         assert_eq!(q.peek(), None);
         assert!(q.pop().is_none());

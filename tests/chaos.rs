@@ -340,6 +340,31 @@ fn periodic_checkpoint_audits_are_clean() {
     assert_eq!(c.stats.audit_violations, 0);
 }
 
+/// Periodic audits and 1 ms sampling together still let a cluster
+/// quiesce: each tick re-arms only while other work is queued, so the two
+/// cannot keep each other alive once the programs have finished.
+#[test]
+fn audit_and_sampling_ticks_let_the_cluster_quiesce() {
+    let mut c = Cluster::new(ClusterConfig {
+        workstations: 3,
+        seed: 17,
+        loss: LossModel::None,
+        audit_every: Some(SimDuration::from_secs(1)),
+        sampling: Some(SamplingSpec::default()),
+        ..ClusterConfig::default()
+    });
+    c.exec(
+        1,
+        profiles::simulation_profile(SimDuration::from_secs(20)),
+        ExecTarget::AnyIdle,
+        Priority::GUEST,
+    );
+    run_to_quiescence(&mut c, 17);
+    assert!(c.audit_reports.len() >= 20, "checkpoints ran");
+    assert!(c.audit_reports.iter().all(|r| r.is_clean()));
+    assert!(c.series_report().sweeps >= 20_000, "sampling ran");
+}
+
 /// A partition heal racing the lease-expiry grace window: the holder is
 /// cut off long enough that, depending on where the heal lands relative
 /// to the grace boundary, either (a) the origin declares it dead and
